@@ -160,6 +160,13 @@ fn print_result(name: &str, result: &DaySweepResult, wall_ms: f64) {
         result.events_processed,
         result.virtual_end.as_secs_f64(),
     );
+    let hits = result.succeeded as u64 - result.kernel_costings;
+    eprintln!(
+        "# {name} kernel costs: {} shapes costed, {hits} memo hits ({:.1}% of {} successes)",
+        result.kernel_costings,
+        100.0 * hits as f64 / result.succeeded.max(1) as f64,
+        result.succeeded,
+    );
     if let Some(s) = &result.search {
         eprintln!(
             "# {name} online search: {} arrivals ({} searched, {} infeasible), \

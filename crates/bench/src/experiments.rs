@@ -16,6 +16,7 @@ use p2pmpi_simgrid::memory::MemoryContentionModel;
 use p2pmpi_simgrid::noise::NoiseModel;
 use p2pmpi_simgrid::time::SimDuration;
 use p2pmpi_simgrid::topology::{HostId, Topology};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Runs the Figure 2 / Figure 3 co-allocation sweep (100..600 processes by
@@ -169,12 +170,30 @@ pub fn run_kernel_on_placement(
     topology: &Arc<Topology>,
     settings: &Fig4Settings,
 ) -> Fig4Point {
+    let (makespan, verified) = kernel_makespan(kernel, placement, topology, settings);
+    Fig4Point {
+        processes: placement.processes,
+        strategy,
+        hosts_used: placement.hosts_used(),
+        makespan,
+        verified,
+    }
+}
+
+/// The kernel's virtual makespan on `placement` and whether its own
+/// verification passed (always `true` under the modeled backend).
+fn kernel_makespan(
+    kernel: Fig4Kernel,
+    placement: &Placement,
+    topology: &Arc<Topology>,
+    settings: &Fig4Settings,
+) -> (SimDuration, bool) {
     let mut runtime = MpiRuntime::new(topology.clone()).with_backend(settings.backend);
     if let Some(alpha) = settings.contention_alpha {
         runtime = runtime.with_contention(MemoryContentionModel::with_alpha(alpha));
     }
 
-    let (makespan, verified) = match (settings.backend, kernel) {
+    match (settings.backend, kernel) {
         (CollectiveBackend::Executed, Fig4Kernel::Ep) => {
             let config = EpConfig::sampled(settings.class, settings.ep_sample_divisor);
             let result = runtime.run(placement, move |comm| ep_kernel(comm, &config));
@@ -207,14 +226,131 @@ pub fn run_kernel_on_placement(
             let mut model = runtime.model_comm(placement);
             (ft_model(&mut model, &config), true)
         }
-    };
+    }
+}
 
-    Fig4Point {
-        processes: placement.processes,
-        strategy,
-        hosts_used: placement.hosts_used(),
-        makespan,
-        verified,
+/// Marks a host without a slot in [`KernelCostMemo`]'s scratch.
+const UNSEEN: u32 = u32::MAX;
+
+/// An exact memo of modeled kernel makespans, keyed by the *shape* of a
+/// placement, so a day sweep costs each distinct shape once.
+///
+/// # Exactness contract
+///
+/// Under the modeled backend, [`run_kernel_on_placement`] reads, of a
+/// placement, only which ranks share a host (co-location picks the
+/// loopback transfer rule, and a host's resident count drives the
+/// memory-contention slowdown) and, per distinct host, its site (RTT and
+/// bandwidth to every other host) and its `ops_per_sec` (compute time).
+/// Every host of a cluster is built from one node spec at one site, so a
+/// host's [`ClusterId`](p2pmpi_simgrid::topology::ClusterId) fixes both.
+/// The key therefore holds, as `u32`s:
+///
+/// * the kernel and the rank count;
+/// * per rank, the first-occurrence index of its host;
+/// * per distinct host, in first-occurrence order, its `ClusterId`.
+///
+/// Placements with equal keys differ only by renaming hosts within their
+/// clusters and cost bit-identically.  The topology and [`Fig4Settings`]
+/// are fixed when the memo is built, so it is never consulted under other
+/// settings.  The costing builds a fresh `NetworkModel` per call, so
+/// runtime network faults (slow-link latency factors) never reach it; if
+/// costing ever becomes fault-aware, the key must grow to cover the fault
+/// state.
+#[derive(Debug)]
+pub struct KernelCostMemo {
+    topology: Arc<Topology>,
+    settings: Fig4Settings,
+    costs: HashMap<Box<[u32]>, SimDuration>,
+    costings: u64,
+    /// Scratch: the key under construction.
+    key: Vec<u32>,
+    /// Scratch: each host's first-occurrence index in the placement being
+    /// keyed, [`UNSEEN`] otherwise.
+    host_slot: Vec<u32>,
+}
+
+impl KernelCostMemo {
+    /// An empty memo costing on `topology` under `settings`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `settings` selects the modeled backend: executed runs
+    /// also report a verification verdict, which a makespan memo drops.
+    pub fn new(topology: Arc<Topology>, settings: Fig4Settings) -> Self {
+        assert_eq!(
+            settings.backend,
+            CollectiveBackend::Modeled,
+            "the kernel cost memo serves the modeled backend only"
+        );
+        let host_slot = vec![UNSEEN; topology.host_count()];
+        KernelCostMemo {
+            topology,
+            settings,
+            costs: HashMap::new(),
+            costings: 0,
+            key: Vec::new(),
+            host_slot,
+        }
+    }
+
+    /// The modeled makespan of `kernel` on `placement`: bit-identical to
+    /// [`run_kernel_on_placement`]'s, costed only the first time its shape
+    /// is seen.
+    pub fn makespan(&mut self, kernel: Fig4Kernel, placement: &Placement) -> SimDuration {
+        if !self.key_of(kernel, placement) {
+            // Not a complete unreplicated cover: the direct costing rejects
+            // it with the model's own message.
+            return kernel_makespan(kernel, placement, &self.topology, &self.settings).0;
+        }
+        if let Some(&makespan) = self.costs.get(self.key.as_slice()) {
+            return makespan;
+        }
+        let (makespan, _) = kernel_makespan(kernel, placement, &self.topology, &self.settings);
+        self.costings += 1;
+        self.costs.insert(self.key.as_slice().into(), makespan);
+        makespan
+    }
+
+    /// Shapes costed so far (memo misses); every other call was a hit.
+    pub fn costings(&self) -> u64 {
+        self.costings
+    }
+
+    /// Writes `placement`'s shape key into `self.key`.  Returns `false`,
+    /// leaving the key unusable, unless every rank appears exactly once
+    /// with replica 0.
+    fn key_of(&mut self, kernel: Fig4Kernel, placement: &Placement) -> bool {
+        let n = placement.processes as usize;
+        if placement.replication != 1 || placement.procs.len() != n {
+            return false;
+        }
+        let key = &mut self.key;
+        key.clear();
+        key.extend([kernel as u32, n as u32]);
+        // Each rank's host index first, rewritten to its slot below.
+        key.resize(2 + n, UNSEEN);
+        for p in &placement.procs {
+            match key.get_mut(2 + p.rank as usize) {
+                Some(h) if *h == UNSEEN && p.replica == 0 => *h = p.host.0 as u32,
+                _ => return false,
+            }
+        }
+        // Slots in first-occurrence order; each new host is appended,
+        // then rewritten to its cluster once every rank is keyed.
+        for r in 2..2 + n {
+            let h = key[r] as usize;
+            if self.host_slot[h] == UNSEEN {
+                self.host_slot[h] = (key.len() - 2 - n) as u32;
+                key.push(h as u32);
+            }
+            key[r] = self.host_slot[h];
+        }
+        for h in &mut key[2 + n..] {
+            self.host_slot[*h as usize] = UNSEEN;
+            *h = self.topology.host(HostId(*h as usize)).cluster.0 as u32;
+        }
+        true
     }
 }
 

@@ -62,7 +62,7 @@
 //! with a low cross-shard fraction the phases are long and the expected
 //! speedup approaches the shard count (on hardware with that many cores).
 
-use crate::experiments::{run_kernel_on_placement, Fig4Settings};
+use crate::experiments::{Fig4Settings, KernelCostMemo};
 use crate::workload::{
     burst_profile, day_trace, sample_running, DaySweepConfig, DaySweepResult, FaultSpec, JobSpec,
     SweepCore, UtilisationSample,
@@ -166,6 +166,8 @@ struct CrossStats {
     failed: usize,
     timeouts: u64,
     hold_secs: f64,
+    /// Shapes the cross-job memo costed (see [`KernelCostMemo`]).
+    kernel_costings: u64,
 }
 
 /// Runs one shard's share of a parallel phase: submit the local batch,
@@ -197,7 +199,7 @@ fn broker_cross(
     job: &JobSpec,
     base: &DaySweepConfig,
     global_topology: &Arc<Topology>,
-    settings: &Fig4Settings,
+    costs: &mut KernelCostMemo,
     stats: &mut CrossStats,
     scatter_keys: &mut Vec<EventKey>,
 ) {
@@ -284,14 +286,9 @@ fn broker_cross(
         hosts,
     };
     let placement = Placement::from_allocation(&merged);
-    let point = run_kernel_on_placement(
-        job.kernel,
-        base.strategy,
-        &placement,
-        global_topology,
-        settings,
-    );
-    let hold = point.makespan.mul_f64(base.duration_scale);
+    let hold = costs
+        .makespan(job.kernel, &placement)
+        .mul_f64(base.duration_scale);
     stats.hold_secs += hold.as_secs_f64();
     // Scatter-back: charge each shard's ledger and splice one completion
     // event per involved shard onto its timeline at the common barrier
@@ -391,13 +388,15 @@ pub fn run_shard_sweep(cfg: &ShardSweepConfig) -> ShardSweepResult {
         })
         .collect();
 
-    // The merged view cross-shard placements are costed on.
+    // The merged view cross-shard placements are costed on, with its own
+    // memo (shard-local jobs cost on their shard's memo).
     let global_topology = topology_from_specs(TABLE1);
     let settings = Fig4Settings {
         seed: base.seed,
         ..Fig4Settings::default()
     }
     .modeled();
+    let mut cross_costs = KernelCostMemo::new(global_topology.clone(), settings);
 
     let mut stats = CrossStats::default();
     let mut scatter_keys: Vec<EventKey> = Vec::new();
@@ -424,7 +423,7 @@ pub fn run_shard_sweep(cfg: &ShardSweepConfig) -> ShardSweepResult {
                 job,
                 base,
                 &global_topology,
-                &settings,
+                &mut cross_costs,
                 &mut stats,
                 &mut scatter_keys,
             );
@@ -450,6 +449,7 @@ pub fn run_shard_sweep(cfg: &ShardSweepConfig) -> ShardSweepResult {
         cores.into_iter().map(|c| c.finish(horizon)).collect()
     };
 
+    stats.kernel_costings = cross_costs.costings();
     let merged = merge_results(&per_shard, &stats, &global_topology);
     ShardSweepResult {
         merged,
@@ -590,5 +590,7 @@ fn merge_results(
                 a.anneal_nanos += b.anneal_nanos;
                 a
             }),
+        kernel_costings: per_shard.iter().map(|r| r.kernel_costings).sum::<u64>()
+            + stats.kernel_costings,
     }
 }

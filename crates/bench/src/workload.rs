@@ -20,8 +20,22 @@
 //!   releases them — all interleaved with heartbeat rounds, cache refreshes
 //!   and reservation-expiry sweeps on one timeline.  Per-site utilisation is
 //!   sampled on a fixed period, reproducing Figures 2–3 at sweep scale.
+//!
+//! **Cost charging.**  A successful job's hold is its kernel's modeled
+//! makespan on its booked placement, looked up in the sweep's
+//! [`KernelCostMemo`] so each distinct placement *shape* is costed once a
+//! day (the sharded driver keeps one per shard plus one for cross-shard
+//! jobs).  The memo is exact, not approximate: its key covers every input
+//! the costing reads — the kernel, the rank count, which ranks share a
+//! host, and each distinct host's cluster, which fixes the host's site
+//! (RTT and bandwidth) and its `ops_per_sec` (compute time).  Its topology
+//! and `Fig4Settings` are fixed when the sweep core builds it.  The costing
+//! builds a fresh `NetworkModel` per call, so [`FaultSpec::SlowLinks`]
+//! degradations (which act on the overlay's brokering traffic) never reach
+//! it; if costing ever becomes fault-aware, the key must grow to cover the
+//! fault state.
 
-use crate::experiments::{run_kernel_on_placement, Fig4Kernel, Fig4Settings};
+use crate::experiments::{Fig4Kernel, Fig4Settings, KernelCostMemo};
 use crate::search::{OnlineSearchParams, OnlineSearchStats, SearchContext};
 use p2pmpi_core::prelude::*;
 use p2pmpi_grid5000::testbed::{testbed_from_specs_with_queue, Grid5000Testbed};
@@ -925,6 +939,10 @@ pub struct DaySweepResult {
     /// [`StrategyKind::Searched`]): warm-rebase vs cold-build split, moves
     /// evaluated and wall-clock phase timings.
     pub search: Option<OnlineSearchStats>,
+    /// Distinct placement shapes whose kernel makespan was actually
+    /// computed; the other `succeeded - kernel_costings` jobs reused a
+    /// memoized cost (see [`KernelCostMemo`]).
+    pub kernel_costings: u64,
 }
 
 impl DaySweepResult {
@@ -1013,7 +1031,8 @@ pub(crate) struct SweepCore {
     pub(crate) cfg: DaySweepConfig,
     pub(crate) tb: Grid5000Testbed,
     pub(crate) allocator: CoAllocator,
-    pub(crate) settings: Fig4Settings,
+    /// The day's kernel costs, one costing per distinct placement shape.
+    costs: KernelCostMemo,
     site_names: Vec<String>,
     site_cores: Vec<usize>,
     samples: Vec<UtilisationSample>,
@@ -1160,6 +1179,7 @@ impl SweepCore {
             ..Fig4Settings::default()
         }
         .modeled();
+        let costs = KernelCostMemo::new(tb.topology.clone(), settings);
 
         // Under the searched strategy every arrival re-anneals against the
         // grid's current free cores, reusing one warm evaluator per kernel
@@ -1199,7 +1219,7 @@ impl SweepCore {
             cfg: cfg.clone(),
             tb,
             allocator,
-            settings,
+            costs,
             site_names,
             site_cores,
             samples: Vec::new(),
@@ -1389,7 +1409,7 @@ impl SweepCore {
 
     /// Submits one job: advance the timeline to its arrival, broker it,
     /// and on success charge the modeled kernel time on the job's real
-    /// placement as a hold on its booked hosts.
+    /// placement (memoized by shape) as a hold on its booked hosts.
     pub(crate) fn submit(&mut self, job: &JobSpec) {
         if self.submitted == self.mid_job {
             self.mid_caps = (
@@ -1407,14 +1427,8 @@ impl SweepCore {
         match &report.outcome {
             Ok(alloc) => {
                 let placement = Placement::from_allocation(alloc);
-                let point = run_kernel_on_placement(
-                    job.kernel,
-                    self.cfg.strategy,
-                    &placement,
-                    &self.tb.topology,
-                    &self.settings,
-                );
-                let hold = point.makespan.mul_f64(self.cfg.duration_scale);
+                let makespan = self.costs.makespan(job.kernel, &placement);
+                let hold = makespan.mul_f64(self.cfg.duration_scale);
                 self.record_success(alloc, report.key, hold);
             }
             Err(_) => self.failed += 1,
@@ -1451,6 +1465,7 @@ impl SweepCore {
             reaped_tickets: self.reaped_tickets,
             dead_ticket_hwm: self.dead_ticket_hwm,
             search: self.search.as_ref().map(|c| c.stats()),
+            kernel_costings: self.costs.costings(),
         }
     }
 }

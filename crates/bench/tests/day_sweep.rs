@@ -50,12 +50,23 @@ fn reduced_day_sweep_shows_the_concentrate_spread_contrast() {
         );
         // Completions, heartbeats and samples all ran on the timeline.
         assert!(r.events_processed > r.succeeded as u64, "{name}");
+        // Each success costs its kernel or reuses a memoized shape.
+        assert!(r.kernel_costings <= r.succeeded as u64, "{name}");
         // Some sample must have caught work in flight.
         assert!(
             r.samples.iter().any(|s| s.running.iter().sum::<u32>() > 0),
             "{name}: utilisation samples never saw a running process"
         );
     }
+
+    // Concentrate books the same few shapes over and over, so the memo
+    // costs fewer than half of its successes.
+    assert!(
+        2 * conc.kernel_costings < conc.succeeded as u64,
+        "concentrate costed {} shapes for {} successes",
+        conc.kernel_costings,
+        conc.succeeded
+    );
 
     // The Figures 2–3 narrative: the concentrate run keeps (nearly) all the
     // work at Nancy, the spread run pushes a substantial share of it to the
@@ -81,7 +92,8 @@ fn reduced_day_sweep_shows_the_concentrate_spread_contrast() {
 }
 
 /// Asserts two sweep results are outcome-identical (submissions, outcomes,
-/// per-site work, every utilisation sample, observed timeouts).
+/// per-site work, shapes costed, every utilisation sample, observed
+/// timeouts).
 fn assert_identical(a: &DaySweepResult, b: &DaySweepResult, what: &str) {
     assert_eq!(a.submitted, b.submitted, "{what}");
     assert_eq!(a.succeeded, b.succeeded, "{what}");
@@ -92,6 +104,7 @@ fn assert_identical(a: &DaySweepResult, b: &DaySweepResult, what: &str) {
     assert_eq!(a.leaked_grant_hwm, b.leaked_grant_hwm, "{what}");
     assert_eq!(a.events_processed, b.events_processed, "{what}");
     assert_eq!(a.core_seconds, b.core_seconds, "{what}");
+    assert_eq!(a.kernel_costings, b.kernel_costings, "{what}");
     let sa: Vec<_> = a.samples.iter().map(|s| &s.running).collect();
     let sb: Vec<_> = b.samples.iter().map(|s| &s.running).collect();
     assert_eq!(sa, sb, "{what}");

@@ -20,7 +20,8 @@ fn reduced(strategy: StrategyKind) -> DaySweepConfig {
 }
 
 /// Bit-for-bit outcome equality: submissions, outcomes, timeouts, kills,
-/// leaks, delivered events, per-site work and every utilisation sample.
+/// leaks, delivered events, per-site work, shapes costed and every
+/// utilisation sample.
 fn assert_identical(a: &DaySweepResult, b: &DaySweepResult, what: &str) {
     assert_eq!(a.submitted, b.submitted, "{what}");
     assert_eq!(a.succeeded, b.succeeded, "{what}");
@@ -34,6 +35,7 @@ fn assert_identical(a: &DaySweepResult, b: &DaySweepResult, what: &str) {
     assert_eq!(a.dead_ticket_hwm, b.dead_ticket_hwm, "{what}");
     assert_eq!(a.site_names, b.site_names, "{what}");
     assert_eq!(a.core_seconds, b.core_seconds, "{what}");
+    assert_eq!(a.kernel_costings, b.kernel_costings, "{what}");
     let sa: Vec<_> = a.samples.iter().map(|s| (s.t, &s.running)).collect();
     let sb: Vec<_> = b.samples.iter().map(|s| (s.t, &s.running)).collect();
     assert_eq!(sa, sb, "{what}");

@@ -190,34 +190,34 @@ impl Placement {
         self.residents_per_host().len()
     }
 
-    /// Checks structural invariants.
+    /// Checks structural invariants in time linear in the instances: every
+    /// `(rank, replica)` pair exactly once, then the lowest rank whose
+    /// replicas share a host, if any.
     pub fn validate(&self) -> Result<(), PlacementError> {
         let expected = self.processes as usize * self.replication as usize;
         if self.procs.len() != expected {
             return Err(PlacementError::IncompleteInstances);
         }
-        let mut seen = vec![false; expected];
+        // The host of every instance, by dense instance index.
+        let mut hosts: Vec<Option<HostId>> = vec![None; expected];
         for p in &self.procs {
             if p.rank >= self.processes || p.replica >= self.replication {
                 return Err(PlacementError::IncompleteInstances);
             }
-            let idx = self.instance_index(p.rank, p.replica);
-            if seen[idx] {
+            let slot = &mut hosts[self.instance_index(p.rank, p.replica)];
+            if slot.is_some() {
                 return Err(PlacementError::IncompleteInstances);
             }
-            seen[idx] = true;
+            *slot = Some(p.host);
         }
-        for rank in 0..self.processes {
-            let mut hosts: Vec<HostId> = self
-                .procs
-                .iter()
-                .filter(|p| p.rank == rank)
-                .map(|p| p.host)
-                .collect();
-            hosts.sort_unstable();
-            hosts.dedup();
-            if hosts.len() != self.replication as usize {
-                return Err(PlacementError::ReplicasShareHost { rank });
+        // A rank's replicas are adjacent; the replication degree is small,
+        // so a pairwise check per rank stays linear in the instances.
+        let r = self.replication as usize;
+        if r > 1 {
+            for (rank, copies) in hosts.chunks_exact(r).enumerate() {
+                if (1..r).any(|i| copies[..i].contains(&copies[i])) {
+                    return Err(PlacementError::ReplicasShareHost { rank: rank as Rank });
+                }
             }
         }
         Ok(())
@@ -298,6 +298,35 @@ mod tests {
         let mut q = Placement::co_located(2, HostId(0));
         q.procs[1].rank = 0;
         assert_eq!(q.validate(), Err(PlacementError::IncompleteInstances));
+    }
+
+    #[test]
+    fn validation_reports_the_lowest_colliding_rank() {
+        let mut p = Placement::replicated_round_robin(4, 2, &[HostId(0), HostId(1), HostId(2)]);
+        assert!(p.validate().is_ok());
+        // Collide rank 3's copies, then rank 1's: the lowest rank wins.
+        p.procs[7].host = p.procs[6].host;
+        assert_eq!(
+            p.validate(),
+            Err(PlacementError::ReplicasShareHost { rank: 3 })
+        );
+        p.procs[3].host = p.procs[2].host;
+        assert_eq!(
+            p.validate(),
+            Err(PlacementError::ReplicasShareHost { rank: 1 })
+        );
+        // An incomplete cover is reported before any collision.
+        p.procs[0].replica = 1;
+        assert_eq!(p.validate(), Err(PlacementError::IncompleteInstances));
+    }
+
+    #[test]
+    fn validation_accepts_a_1024_rank_placement() {
+        let hosts: Vec<HostId> = (0..256).map(HostId).collect();
+        let p = Placement::round_robin(1024, &hosts);
+        assert_eq!(p.validate(), Ok(()));
+        let q = Placement::replicated_round_robin(1024, 3, &hosts);
+        assert_eq!(q.validate(), Ok(()));
     }
 
     #[test]
