@@ -93,12 +93,15 @@ impl Default for SearchParams {
 
 impl SearchParams {
     /// Per-kernel default move budget.  EP's delta moves are near-free
-    /// (frontier absorption kills most of the schedule), so it can afford
-    /// the full 4 000-move budget; IS and FT rings re-run an O(n²)
-    /// wavefront per ring segment per move, so their defaults trade moves
-    /// for wall-clock — the skewed-grid improvement saturates well before
-    /// 1 500 moves on the communication-bound kernels, whose landscape is
-    /// dominated by the site-count term rather than per-host speed.
+    /// (frontier absorption kills most of the schedule, and a tree message
+    /// costs one dense-table lookup), so it can afford the full 4 000-move
+    /// budget.  IS and FT rings re-run an O(n²) wavefront per ring segment
+    /// per move — only its set-up (sites, co-located pairs, `Uniform` row
+    /// expansion) is shared, built once per move rather than per segment —
+    /// so their defaults trade moves for wall-clock: the skewed-grid
+    /// improvement saturates well before 1 500 moves on the
+    /// communication-bound kernels, whose landscape is dominated by the
+    /// site-count term rather than per-host speed.
     pub fn default_for(kernel: Fig4Kernel) -> Self {
         let moves = match kernel {
             Fig4Kernel::Ep => 4_000,

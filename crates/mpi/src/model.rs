@@ -87,10 +87,17 @@
 //! **What is cached.**  Per segment of the compiled schedule (a compute
 //! phase, a run of tree messages, one ring collective), `PlacementCost`
 //! keeps the per-rank clocks at the segment boundary; per tree message, the
-//! (`in_src`, `in_dst`, `out_dst`) clock triple of its last evaluation; and
-//! a memo of LogGP transfer times keyed by (link class, byte count) — link
-//! class meaning same-host / directed site pair, the only thing the
-//! transfer cost depends on.  Ring segments keep no per-step clocks at all:
+//! (`in_src`, `in_dst`, `out_dst`) clock triple of its last evaluation.
+//! Transfer costs depend only on the *link class* (same host, or the
+//! directed site pair) and the byte count, and are cached accordingly.  The
+//! schedule compiler gives every tree message a *byte-class* index (its
+//! position among the schedule's distinct tree byte counts), so a tree
+//! message is costed through a dense `[byte class][link class]` nanosecond
+//! table — link class read from a per-host site array — filled on first use
+//! with the very `NetworkModel::transfer_time` value: no hashing on the
+//! move path.  A (link class, byte count) memo remains for building ring
+//! tables and for `PerPair` rings, whose byte counts have no dense index.
+//! Ring segments keep no per-step clocks at all:
 //! they share *pooled transfer tables*, one per distinct `Uniform`/`PerSrc`
 //! byte structure among the schedule's rings.  A `Uniform` ring (same byte
 //! count on every edge) collapses to one loopback scalar plus a
@@ -110,17 +117,31 @@
 //! ranks' messages, and dirtiness propagates forward — a rank whose
 //! recomputed clock *re-matches* the cached trajectory leaves the dirty set
 //! immediately (the `max()` in the receive rule absorbs most perturbations),
-//! which is what bounds the affected set in practice.  A moved rank whose
-//! *site* changed additionally rewrites its `tsite` row in every pooled
-//! `PerSrc` table (journaled as `RingRow` entries); `tsame` is
-//! host-independent and `Uniform` tables are site-keyed, so neither ever
-//! changes.  A ring segment is then re-run as a two-row integer
-//! *wavefront* over the tables — `C[d] = max(C'[d], C'[src] + t) + o` per
-//! step, pure u64 nanosecond arithmetic, no float math and no hashing — and
-//! only the exit clocks that differ from the segment boundary are journaled
-//! and carried forward as the dirty frontier.  Every cache mutation is
-//! journaled, so [`PlacementCost::undo`] restores the pre-move state
-//! exactly and [`PlacementCost::commit`] is O(1).
+//! which is what bounds the affected set in practice.  Within a run of tree
+//! messages the worklist is a bitset over the run's message indices,
+//! scanned upwards: it visits messages in the order a min-heap would,
+//! because after the first pop every queued message is the *next* message
+//! of a rank whose clock just changed — an index above the one just popped
+//! — so the scan never looks back and no index is queued twice.  A moved
+//! rank whose *site* changed additionally rewrites its `tsite` row in every
+//! pooled `PerSrc` table (the old rows are journaled into one flat, reused
+//! arena); `tsame` is host-independent and `Uniform` tables are site-keyed,
+//! so neither ever changes.  A ring segment is then re-run as a two-row
+//! integer *wavefront* over the tables — `C[d] = max(C'[d], C'[src] + t) +
+//! o` per step, pure u64 nanosecond arithmetic, no float math and no
+//! hashing — and only the exit clocks that differ from the segment boundary
+//! are journaled and carried forward as the dirty frontier.  What the
+//! wavefront reads besides the tables — each rank's site, the co-located
+//! (loopback) pairs by ring step, each `Uniform` table's per-rank row
+//! expansion — depends on the host assignment alone, so it is built once
+//! per assignment and shared by every ring segment of a move (IS runs two
+//! per iteration); `apply`, `undo` and `rebuild` (hence `rebase`)
+//! invalidate it.
+//! Every cache mutation is journaled, so [`PlacementCost::undo`] restores
+//! the pre-move state exactly and [`PlacementCost::commit`] is O(1).  All
+//! of this runs on scratch reserved at construction (and by `rebase`, for
+//! new capacities), so a warm evaluator's `apply`/`undo`/`commit` performs
+//! no heap allocation — pinned by `crates/mpi/tests/move_alloc_free.rs`.
 //!
 //! **Exactness.**  Delta-after-move equals a from-scratch replay bit for
 //! bit, per rank — pinned by `crates/mpi/tests/placement_cost_prop.rs` over
@@ -137,9 +158,13 @@
 //! rejected without touching any state.
 //!
 //! **Memory.**  The caches are O(schedule): trees cost three clocks per
-//! message; rings cost O(ranks · sites) for the pooled tables plus two
-//! O(ranks) scratch rows, shared across *all* ring segments with the same
-//! byte structure ([`PlacementCost::ring_cache_bytes`] reports the total).
+//! message plus the `[byte class][link class]` table; rings cost
+//! O(ranks · sites) for the pooled tables and the per-assignment set-up
+//! (each `Uniform` table's row expansion, the co-located pair list) plus
+//! two O(ranks) scratch rows, shared across *all* ring segments with the
+//! same byte structure ([`PlacementCost::ring_cache_bytes`] reports the
+//! total).  The undo journal is reserved at its worst case, one entry per
+//! boundary clock and per tree message.
 //! IS at 1024 ranks holds a few tables of ~64 KB — versus the ≈168 MB of
 //! per-(step, rank) clock rows this design replaced — so IS and other
 //! alltoall-heavy kernels stay searchable at 1024+ ranks.
@@ -203,8 +228,7 @@ use p2pmpi_simgrid::memory::MemoryIntensity;
 use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
 use p2pmpi_simgrid::topology::HostId;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -553,12 +577,15 @@ impl CollectiveProgram for ModelComm {
 // Compiled schedules
 // ---------------------------------------------------------------------------
 
-/// One tree message of a compiled schedule.
+/// One tree message of a compiled schedule.  `class` indexes the
+/// schedule's distinct tree byte counts ([`CompiledSchedule::tree_bytes`]),
+/// which is what lets [`PlacementCost`] cost a message through a dense
+/// `[byte class][link class]` table.
 #[derive(Debug, Clone, Copy)]
 struct MsgRec {
     src: u32,
     dst: u32,
-    bytes: u64,
+    class: u32,
 }
 
 /// Byte counts of one ring collective, compressed by structure: NAS
@@ -611,6 +638,9 @@ enum Segment {
 pub struct CompiledSchedule {
     size: u32,
     segments: Vec<Segment>,
+    /// Distinct tree-message byte counts, in first-seen order (the byte
+    /// classes [`MsgRec::class`] indexes).
+    tree_bytes: Vec<u64>,
 }
 
 impl CompiledSchedule {
@@ -654,7 +684,7 @@ impl CompiledSchedule {
                 }
                 Segment::Msgs { msgs, .. } => {
                     for m in msgs.iter() {
-                        p.message(m.src, m.dst, m.bytes);
+                        p.message(m.src, m.dst, self.tree_bytes[m.class as usize]);
                     }
                 }
                 Segment::Ring { bytes } => {
@@ -678,6 +708,9 @@ pub struct ScheduleBuilder {
     /// Pending tree messages of the segment being built (adjacent trees
     /// merge into one segment).
     open_msgs: Vec<MsgRec>,
+    /// Distinct tree byte counts seen so far and their class indices.
+    tree_bytes: Vec<u64>,
+    tree_class: HashMap<u64, u32>,
 }
 
 impl ScheduleBuilder {
@@ -688,6 +721,8 @@ impl ScheduleBuilder {
             size,
             segments: Vec::new(),
             open_msgs: Vec::new(),
+            tree_bytes: Vec::new(),
+            tree_class: HashMap::new(),
         }
     }
 
@@ -714,6 +749,7 @@ impl ScheduleBuilder {
         CompiledSchedule {
             size: self.size,
             segments: self.segments,
+            tree_bytes: self.tree_bytes,
         }
     }
 }
@@ -735,7 +771,12 @@ impl CollectiveProgram for ScheduleBuilder {
     }
 
     fn message(&mut self, src: Rank, dst: Rank, bytes: u64) {
-        self.open_msgs.push(MsgRec { src, dst, bytes });
+        let tree_bytes = &mut self.tree_bytes;
+        let class = *self.tree_class.entry(bytes).or_insert_with(|| {
+            tree_bytes.push(bytes);
+            (tree_bytes.len() - 1) as u32
+        });
+        self.open_msgs.push(MsgRec { src, dst, class });
     }
 
     fn ring_exchange<F: FnMut(Rank, Rank) -> u64>(&mut self, mut bytes: F) {
@@ -841,7 +882,6 @@ enum SegCache {
     Plain,
     Msgs {
         msgs: Vec<MsgCache>,
-        queued_epoch: Vec<u32>,
     },
     Ring {
         /// Index of the segment's pooled [`RingTable`], or `None` for a
@@ -868,6 +908,12 @@ enum RingTable {
         /// dst_site]`).  The diagonal holds the distinct-host intra-site
         /// cost; same-host pairs are patched with `tsame` by the colo list.
         site: Box<[u64]>,
+        /// Per-rank expansion of `site` (`rows[src * site_count + site]`,
+        /// the row of the source rank's current site), so the wavefront's
+        /// hot loop keeps the sequential `PerSrc` row shape.  Part of the
+        /// per-assignment ring set-up: rebuilt from `site_of` when the
+        /// assignment changes, never journaled.
+        rows: Box<[u64]>,
     },
     /// A `PerSrc` ring sends a source-rank-dependent byte count, so the
     /// table keeps per-rank rows that must be re-derived when a rank
@@ -883,23 +929,92 @@ enum RingTable {
     },
 }
 
-/// One journaled cache mutation (reverted in reverse order by `undo`).
-enum UndoEntry {
-    Boundary {
-        seg: u32,
-        rank: u32,
-        old: SimTime,
-    },
-    Msg {
-        seg: u32,
-        idx: u32,
-        old: MsgCache,
-    },
-    RingRow {
-        table: u32,
-        rank: u32,
-        old: Box<[u64]>,
-    },
+/// The undo journal of the in-flight move: the old value of every cache
+/// cell the delta pass overwrote.  A move writes each cell at most once, so
+/// the three kinds are independent and each is reverted on its own.  Every
+/// vector is reserved to its worst case at construction — a rank's
+/// boundary per segment, every tree message, two moved ranks' rows per
+/// `PerSrc` table — so journaling never allocates.
+#[derive(Default)]
+struct Journal {
+    /// `(segment, rank, old boundary clock)`.
+    boundary: Vec<(u32, u32, SimTime)>,
+    /// `(segment, message index, old clock triple)`.
+    msgs: Vec<(u32, u32, MsgCache)>,
+    /// `(pooled table, rank)` of each overwritten `PerSrc` `tsite` row; the
+    /// old rows sit back to back in `row_words`, one `site_count` run per
+    /// entry, in the same order.
+    rows: Vec<(u32, u32)>,
+    row_words: Vec<u64>,
+}
+
+impl Journal {
+    fn clear(&mut self) {
+        self.boundary.clear();
+        self.msgs.clear();
+        self.rows.clear();
+        self.row_words.clear();
+    }
+}
+
+/// Ascending worklist of tree-message indices within one `Msgs` segment: a
+/// bitset over the segment's messages plus a scan cursor.  `pop` returns the
+/// lowest queued index, so it visits messages in exactly the order a min-heap
+/// would — and cheaper, because the delta pass only ever queues, after its
+/// first pop, the *next* message of a rank whose clock just changed, an
+/// index above the one just popped: the cursor never moves backwards and
+/// each word is scanned once.  An index is never re-queued after it was
+/// popped, so setting a bit twice is the only de-duplication needed.
+struct Worklist {
+    words: Vec<u64>,
+    /// Lowest word that may hold a queued index (`usize::MAX` when empty).
+    cursor: usize,
+    /// Highest word that may hold a queued index.
+    hi: usize,
+}
+
+impl Worklist {
+    fn new(capacity: usize) -> Worklist {
+        Worklist {
+            words: vec![0; capacity.div_ceil(64)],
+            cursor: usize::MAX,
+            hi: 0,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, k: u32) {
+        let w = k as usize / 64;
+        self.words[w] |= 1 << (k % 64);
+        self.cursor = self.cursor.min(w);
+        self.hi = self.hi.max(w);
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<u32> {
+        while self.cursor <= self.hi {
+            let bits = self.words[self.cursor];
+            if bits != 0 {
+                self.words[self.cursor] = bits & (bits - 1);
+                return Some((self.cursor * 64) as u32 + bits.trailing_zeros());
+            }
+            self.cursor += 1;
+        }
+        // Drained: every word is zero again.
+        self.cursor = usize::MAX;
+        self.hi = 0;
+        None
+    }
+
+    /// Queues the next message of a rank after message `k` (`by_rank` is
+    /// the rank's ascending message list).
+    #[inline]
+    fn push_next(&mut self, by_rank: &[u32], k: u32) {
+        let pos = by_rank.partition_point(|&i| i <= k);
+        if let Some(&next) = by_rank.get(pos) {
+            self.push(next);
+        }
+    }
 }
 
 /// The in-flight move awaiting `commit`/`undo`.
@@ -945,11 +1060,18 @@ pub struct PlacementCost {
     clock_mean: f64,
     /// Memoized LogGP transfer times keyed by (link class, bytes): the
     /// transfer cost depends only on same-host-ness / the site pair, so a
-    /// handful of entries covers any schedule.
+    /// handful of entries covers any schedule.  Off the move path except
+    /// for `PerPair` rings, whose byte counts have no dense index.
     edge_cache: HashMap<(u32, u64), SimDuration>,
-    // --- ring tables (see the module docs) ---
+    /// Tree-message transfer nanoseconds, dense by `[byte class][link
+    /// class]` (`tree_ns[class * link_classes + link]`), filled on first
+    /// use with the same `NetworkModel::transfer_time` value the memo would
+    /// hold; `u64::MAX` marks an entry not yet filled.
+    tree_ns: Vec<u64>,
+    /// Link classes: same host, plus one per directed site pair.
+    link_classes: usize,
     /// Site index of each host id (static topology data, hot in the ring
-    /// wavefront).
+    /// wavefront and the link class of every tree message).
     host_site: Vec<u32>,
     /// Two representative hosts per site, for building transfer-table rows
     /// (the second repeats the first at single-host sites, whose distinct-
@@ -961,28 +1083,35 @@ pub struct PlacementCost {
     /// The byte structure each pooled table was built for.
     ring_table_keys: Vec<RingBytes>,
     // --- delta scratch ---
+    /// Whether a rank's clock currently differs from the cached trajectory.
     dirty_flag: Vec<bool>,
     dirty_val: Vec<SimTime>,
+    /// Ranks that may be dirty, each listed at most once (`dirty_listed`);
+    /// a rank that re-converges keeps its slot until the next compaction.
     dirty_list: Vec<u32>,
+    dirty_listed: Vec<bool>,
     visit_epoch: Vec<u32>,
     epoch: u32,
-    worklist: BinaryHeap<Reverse<u32>>,
+    worklist: Worklist,
     cand: Vec<u32>,
     /// Ring wavefront rows (per-rank clocks in nanoseconds).
     wf_prev: Vec<u64>,
     wf_cur: Vec<u64>,
-    /// Per-rank host index / site of one wavefront run.
+    // --- per-assignment ring set-up (see `ensure_ring_setup`) ---
+    /// Whether `host_of`, `site_of`, `colo` and every `Uniform` table's
+    /// `rows` describe the current host assignment.
+    ring_setup_valid: bool,
+    /// Per-rank host index / site of the current assignment.
     host_of: Vec<u32>,
     site_of: Vec<u32>,
-    /// Per-rank row expansion of a `Uniform` site×site table, rebuilt from
-    /// `site_of` at the start of each wavefront over one — scratch, never
-    /// journaled — so the hot loop keeps the sequential `PerSrc` row shape.
-    uniform_rows: Vec<u64>,
+    /// Co-located `(step, dst, src)` pairs sorted by ring step: the receives
+    /// the wavefront patches with the loopback cost.
+    colo: Vec<(u32, u32, u32)>,
     moved: Vec<u32>,
     /// Old host of each moved rank (parallel to `moved`).
     moved_old_host: Vec<HostId>,
     compute_affected: Vec<u32>,
-    journal: Vec<UndoEntry>,
+    journal: Journal,
     pending: Option<PendingMove>,
     /// Delta operations processed by the last `apply` (diagnostics).
     last_delta_ops: usize,
@@ -1035,16 +1164,24 @@ impl PlacementCost {
                         };
                         msgs.len()
                     ],
-                    queued_epoch: vec![0; msgs.len()],
                 },
                 Segment::Ring { .. } => SegCache::Ring { table: None },
                 _ => SegCache::Plain,
             })
             .collect();
         let boundary = vec![vec![SimTime::ZERO; n]; schedule.segments.len()];
+        let (mut max_msgs, mut total_msgs) = (0usize, 0usize);
+        for seg in &schedule.segments {
+            if let Segment::Msgs { msgs, .. } = seg {
+                max_msgs = max_msgs.max(msgs.len());
+                total_msgs += msgs.len();
+            }
+        }
         let overhead = network.params().per_message_overhead;
         let topology = network.topology();
         let site_count = topology.site_count();
+        let link_classes = 1 + site_count * site_count;
+        let tree_ns = vec![u64::MAX; schedule.tree_bytes.len() * link_classes];
         let host_site: Vec<u32> = topology.hosts().iter().map(|h| h.site.0 as u32).collect();
         let mut site_rep = vec![[HostId(0); 2]; site_count];
         let mut reps_seen = vec![0u8; site_count];
@@ -1062,6 +1199,7 @@ impl PlacementCost {
                 _ => {}
             }
         }
+        let segment_count = schedule.segments.len();
         let mut cost = PlacementCost {
             schedule,
             network,
@@ -1078,30 +1216,46 @@ impl PlacementCost {
             makespan: SimDuration::ZERO,
             clock_mean: 0.0,
             edge_cache: HashMap::new(),
+            tree_ns,
+            link_classes,
             host_site,
             site_rep,
             ring_tables: Vec::new(),
             ring_table_keys: Vec::new(),
             dirty_flag: vec![false; n],
             dirty_val: vec![SimTime::ZERO; n],
-            dirty_list: Vec::new(),
+            dirty_list: Vec::with_capacity(n),
+            dirty_listed: vec![false; n],
             visit_epoch: vec![0; n],
             epoch: 0,
-            worklist: BinaryHeap::new(),
-            cand: Vec::new(),
+            worklist: Worklist::new(max_msgs),
+            cand: Vec::with_capacity(n),
             wf_prev: vec![0; n],
             wf_cur: vec![0; n],
+            ring_setup_valid: false,
             host_of: vec![0; n],
             site_of: vec![0; n],
-            uniform_rows: Vec::new(),
-            moved: Vec::new(),
-            moved_old_host: Vec::new(),
-            compute_affected: Vec::new(),
-            journal: Vec::new(),
+            colo: Vec::new(),
+            moved: Vec::with_capacity(2),
+            moved_old_host: Vec::with_capacity(2),
+            compute_affected: Vec::with_capacity(n),
+            journal: Journal::default(),
             pending: None,
             last_delta_ops: 0,
         };
         cost.build_ring_tables();
+        let per_src_tables = cost
+            .ring_tables
+            .iter()
+            .filter(|t| matches!(t, RingTable::PerSrc { .. }))
+            .count();
+        cost.journal.boundary.reserve(n * segment_count);
+        cost.journal.msgs.reserve(total_msgs);
+        cost.journal.rows.reserve(2 * per_src_tables);
+        cost.journal
+            .row_words
+            .reserve(2 * per_src_tables * site_count);
+        cost.reserve_for_capacity();
         cost.rebuild();
         cost
     }
@@ -1263,6 +1417,7 @@ impl PlacementCost {
             old_clock_mean,
         });
         if !noop {
+            self.ring_setup_valid = false;
             self.delta_eval();
         } else {
             self.last_delta_ops = 0;
@@ -1289,26 +1444,27 @@ impl PlacementCost {
     /// Panics if no move is in flight.
     pub fn undo(&mut self) {
         let p = self.pending.take().expect("no move to undo");
-        while let Some(u) = self.journal.pop() {
-            match u {
-                UndoEntry::Boundary { seg, rank, old } => {
-                    self.boundary[seg as usize][rank as usize] = old;
-                }
-                UndoEntry::Msg { seg, idx, old } => {
-                    if let SegCache::Msgs { msgs, .. } = &mut self.caches[seg as usize] {
-                        msgs[idx as usize] = old;
-                    }
-                }
-                UndoEntry::RingRow { table, rank, old } => {
-                    let s = self.site_count;
-                    let RingTable::PerSrc { tsite, .. } = &mut self.ring_tables[table as usize]
-                    else {
-                        unreachable!("Uniform ring tables are never journaled")
-                    };
-                    tsite[rank as usize * s..][..s].copy_from_slice(&old);
-                }
-            }
+        let journal = &mut self.journal;
+        // Newest first, so a cell journaled twice would end at its oldest
+        // value (the delta pass writes each cell at most once per move).
+        for &(seg, rank, old) in journal.boundary.iter().rev() {
+            self.boundary[seg as usize][rank as usize] = old;
         }
+        for &(seg, idx, old) in journal.msgs.iter().rev() {
+            let SegCache::Msgs { msgs } = &mut self.caches[seg as usize] else {
+                unreachable!("segment/cache shape mismatch")
+            };
+            msgs[idx as usize] = old;
+        }
+        let s = self.site_count;
+        let old_rows = journal.row_words.chunks_exact(s).rev();
+        for (&(table, rank), old) in journal.rows.iter().rev().zip(old_rows) {
+            let RingTable::PerSrc { tsite, .. } = &mut self.ring_tables[table as usize] else {
+                unreachable!("Uniform ring tables are never journaled")
+            };
+            tsite[rank as usize * s..][..s].copy_from_slice(old);
+        }
+        journal.clear();
         self.makespan = p.old_makespan;
         self.clock_mean = p.old_clock_mean;
         if !p.noop {
@@ -1330,6 +1486,7 @@ impl PlacementCost {
                     self.ranks_on_host[p.old_host.0].push(rank);
                 }
             }
+            self.ring_setup_valid = false;
         }
     }
 
@@ -1390,6 +1547,7 @@ impl PlacementCost {
             "one capacity per host"
         );
         self.capacity.copy_from_slice(new_capacity);
+        self.reserve_for_capacity();
         self.moved.clear();
         self.moved_old_host.clear();
         self.compute_affected.clear();
@@ -1447,24 +1605,57 @@ impl PlacementCost {
     /// Link class of a host pair: the transfer cost depends only on
     /// same-host-ness and the (directed) site pair.
     #[inline]
-    fn edge_class(&self, a: HostId, b: HostId) -> u32 {
+    fn link_class(&self, a: HostId, b: HostId) -> usize {
         if a == b {
             return 0;
         }
-        let topo = self.network.topology();
-        let sa = topo.host(a).site.0;
-        let sb = topo.host(b).site.0;
-        1 + (sa * self.site_count + sb) as u32
+        let sa = self.host_site[a.0] as usize;
+        let sb = self.host_site[b.0] as usize;
+        1 + sa * self.site_count + sb
     }
 
+    /// Memoized transfer time (ring-table builds and the `PerPair` ring
+    /// fallback).
     #[inline]
     fn transfer(&mut self, a: HostId, b: HostId, bytes: u64) -> SimDuration {
-        let key = (self.edge_class(a, b), bytes);
+        let key = (self.link_class(a, b) as u32, bytes);
         let network = &self.network;
         *self
             .edge_cache
             .entry(key)
             .or_insert_with(|| network.transfer_time(a, b, bytes))
+    }
+
+    /// Transfer time of a tree message of byte class `class` from rank
+    /// `s`'s host to rank `d`'s, through the dense `tree_ns` table.
+    #[inline]
+    fn tree_transfer(&mut self, class: u32, s: usize, d: usize) -> SimDuration {
+        let (a, b) = (self.hosts[s], self.hosts[d]);
+        let slot = class as usize * self.link_classes + self.link_class(a, b);
+        let mut ns = self.tree_ns[slot];
+        if ns == u64::MAX {
+            let bytes = self.schedule.tree_bytes[class as usize];
+            ns = self.network.transfer_time(a, b, bytes).as_nanos();
+            self.tree_ns[slot] = ns;
+        }
+        SimDuration::from_nanos(ns)
+    }
+
+    /// Reserves the per-host resident lists and the co-location list for
+    /// the current capacities, so that no move can grow them.
+    fn reserve_for_capacity(&mut self) {
+        let n = self.hosts.len();
+        let mut max_residents = 0usize;
+        for (list, &cap) in self.ranks_on_host.iter_mut().zip(&self.capacity) {
+            let cap = (cap as usize).min(n);
+            list.reserve(cap.saturating_sub(list.len()));
+            max_residents = max_residents.max(cap);
+        }
+        if !self.ring_tables.is_empty() {
+            // Each rank pairs with at most `max_residents - 1` co-residents.
+            let pairs = n * max_residents.saturating_sub(1);
+            self.colo.reserve(pairs.saturating_sub(self.colo.len()));
+        }
     }
 
     #[inline]
@@ -1476,11 +1667,22 @@ impl PlacementCost {
 
     #[inline]
     fn set_dirty(&mut self, r: u32, v: SimTime) {
-        if !self.dirty_flag[r as usize] {
-            self.dirty_flag[r as usize] = true;
+        let ri = r as usize;
+        self.dirty_flag[ri] = true;
+        if !self.dirty_listed[ri] {
+            self.dirty_listed[ri] = true;
             self.dirty_list.push(r);
         }
-        self.dirty_val[r as usize] = v;
+        self.dirty_val[ri] = v;
+    }
+
+    /// Empties the dirty set.
+    fn clear_dirty(&mut self) {
+        for &r in &self.dirty_list {
+            self.dirty_flag[r as usize] = false;
+            self.dirty_listed[r as usize] = false;
+        }
+        self.dirty_list.clear();
     }
 
     /// Entry clocks of segment `seg` for a clean rank.
@@ -1496,6 +1698,7 @@ impl PlacementCost {
     /// Full replay filling every cache (construction only; moves maintain
     /// the caches incrementally).
     fn rebuild(&mut self) {
+        self.ring_setup_valid = false;
         let schedule = self.schedule.clone();
         let n = schedule.size() as usize;
         let mut clocks = vec![SimTime::ZERO; n];
@@ -1518,7 +1721,7 @@ impl PlacementCost {
                         let in_src = clocks[s];
                         let in_dst = clocks[d];
                         let out_src = in_src + self.overhead;
-                        let t = self.transfer(self.hosts[s], self.hosts[d], m.bytes);
+                        let t = self.tree_transfer(m.class, s, d);
                         let out_dst = in_dst.max(out_src + t);
                         clocks[s] = out_src;
                         clocks[d] = out_dst;
@@ -1593,29 +1796,24 @@ impl PlacementCost {
         self.makespan = max.saturating_since(SimTime::ZERO);
         self.clock_mean = sum / finals.len().max(1) as f64;
 
-        for &r in &self.dirty_list {
-            self.dirty_flag[r as usize] = false;
-        }
-        self.dirty_list.clear();
+        self.clear_dirty();
         self.moved = moved;
         self.moved_old_host = old_hosts;
         self.compute_affected = affected;
         self.last_delta_ops = delta_ops;
     }
 
-    /// Gathers the currently-dirty ranks (deduplicated) into `self.cand`.
+    /// Compacts the dirty list to the currently-dirty ranks and copies it
+    /// into `self.cand`.
     fn gather_dirty(&mut self) {
-        self.epoch += 1;
-        let ep = self.epoch;
-        let mut cand = std::mem::take(&mut self.cand);
-        cand.clear();
-        for &r in &self.dirty_list {
-            if self.dirty_flag[r as usize] && self.visit_epoch[r as usize] != ep {
-                self.visit_epoch[r as usize] = ep;
-                cand.push(r);
-            }
-        }
-        self.cand = cand;
+        let (flag, listed) = (&self.dirty_flag, &mut self.dirty_listed);
+        self.dirty_list.retain(|&r| {
+            let keep = flag[r as usize];
+            listed[r as usize] = keep;
+            keep
+        });
+        self.cand.clear();
+        self.cand.extend_from_slice(&self.dirty_list);
     }
 
     fn delta_compute(
@@ -1626,8 +1824,12 @@ impl PlacementCost {
         affected: &[u32],
     ) -> usize {
         self.gather_dirty();
+        self.epoch += 1;
         let ep = self.epoch;
         let mut cand = std::mem::take(&mut self.cand);
+        for &r in &cand {
+            self.visit_epoch[r as usize] = ep;
+        }
         for &r in affected {
             if self.visit_epoch[r as usize] != ep {
                 self.visit_epoch[r as usize] = ep;
@@ -1644,11 +1846,7 @@ impl PlacementCost {
             let out = in_v + self.compute_cost(ri, ops[ri], intensity);
             let cached = self.boundary[seg][ri];
             if out != cached {
-                self.journal.push(UndoEntry::Boundary {
-                    seg: seg as u32,
-                    rank: r,
-                    old: cached,
-                });
+                self.journal.boundary.push((seg as u32, r, cached));
                 self.boundary[seg][ri] = out;
                 self.set_dirty(r, out);
             } else {
@@ -1668,11 +1866,7 @@ impl PlacementCost {
             let out = self.dirty_val[ri] + d;
             let cached = self.boundary[seg][ri];
             if out != cached {
-                self.journal.push(UndoEntry::Boundary {
-                    seg: seg as u32,
-                    rank: r,
-                    old: cached,
-                });
+                self.journal.boundary.push((seg as u32, r, cached));
                 self.boundary[seg][ri] = out;
                 self.dirty_val[ri] = out;
             } else {
@@ -1694,11 +1888,7 @@ impl PlacementCost {
             let old = self.boundary[seg][ri];
             let new = self.dirty_val[ri];
             if old != new {
-                self.journal.push(UndoEntry::Boundary {
-                    seg: seg as u32,
-                    rank: r,
-                    old,
-                });
+                self.journal.boundary.push((seg as u32, r, old));
                 self.boundary[seg][ri] = new;
             } else {
                 // The clock re-converged exactly onto the cached boundary.
@@ -1716,40 +1906,25 @@ impl PlacementCost {
         moved: &[u32],
     ) -> usize {
         let mut cache = std::mem::replace(&mut self.caches[seg], SegCache::Plain);
-        let SegCache::Msgs {
-            msgs: mcache,
-            queued_epoch,
-        } = &mut cache
-        else {
+        let SegCache::Msgs { msgs: mcache } = &mut cache else {
             unreachable!("segment/cache shape mismatch")
         };
-        self.epoch += 1;
-        let ep = self.epoch;
-        debug_assert!(self.worklist.is_empty());
         // Seed: the first message of every entry-dirty rank, every message
         // of a moved rank (their transfer costs changed).
-        for i in 0..self.dirty_list.len() {
-            let r = self.dirty_list[i];
-            if !self.dirty_flag[r as usize] {
-                continue;
-            }
-            if let Some(&k) = by_rank[r as usize].first() {
-                if queued_epoch[k as usize] != ep {
-                    queued_epoch[k as usize] = ep;
-                    self.worklist.push(Reverse(k));
+        for &r in &self.dirty_list {
+            if self.dirty_flag[r as usize] {
+                if let Some(&k) = by_rank[r as usize].first() {
+                    self.worklist.push(k);
                 }
             }
         }
         for &m in moved {
             for &k in by_rank[m as usize].iter() {
-                if queued_epoch[k as usize] != ep {
-                    queued_epoch[k as usize] = ep;
-                    self.worklist.push(Reverse(k));
-                }
+                self.worklist.push(k);
             }
         }
         let mut processed = 0usize;
-        while let Some(Reverse(k)) = self.worklist.pop() {
+        while let Some(k) = self.worklist.pop() {
             processed += 1;
             let m = msgs[k as usize];
             let (s, d) = (m.src as usize, m.dst as usize);
@@ -1765,14 +1940,10 @@ impl PlacementCost {
                 old.in_dst
             };
             let out_src = in_src + self.overhead;
-            let t = self.transfer(self.hosts[s], self.hosts[d], m.bytes);
+            let t = self.tree_transfer(m.class, s, d);
             let out_dst = in_dst.max(out_src + t);
             if in_src != old.in_src || in_dst != old.in_dst || out_dst != old.out_dst {
-                self.journal.push(UndoEntry::Msg {
-                    seg: seg as u32,
-                    idx: k,
-                    old,
-                });
+                self.journal.msgs.push((seg as u32, k, old));
                 mcache[k as usize] = MsgCache {
                     in_src,
                     in_dst,
@@ -1783,13 +1954,13 @@ impl PlacementCost {
             // did (the overhead is constant).
             if in_src != old.in_src {
                 self.set_dirty(m.src, out_src);
-                push_next(&mut self.worklist, queued_epoch, ep, &by_rank[s], k);
+                self.worklist.push_next(&by_rank[s], k);
             } else {
                 self.dirty_flag[s] = false;
             }
             if out_dst != old.out_dst {
                 self.set_dirty(m.dst, out_dst);
-                push_next(&mut self.worklist, queued_epoch, ep, &by_rank[d], k);
+                self.worklist.push_next(&by_rank[d], k);
             } else {
                 self.dirty_flag[d] = false;
             }
@@ -1826,21 +1997,12 @@ impl PlacementCost {
         self.ring_wavefront(bytes, table);
         // Flip the frontier: exactly the ranks whose exit clock changed are
         // dirty entering the next segment.
-        let mut list = std::mem::take(&mut self.dirty_list);
-        for &r in &list {
-            self.dirty_flag[r as usize] = false;
-        }
-        list.clear();
-        self.dirty_list = list;
+        self.clear_dirty();
         for d in 0..n {
             let new = SimTime::from_nanos(self.wf_prev[d]);
             let old = self.boundary[seg][d];
             if new != old {
-                self.journal.push(UndoEntry::Boundary {
-                    seg: seg as u32,
-                    rank: d as u32,
-                    old,
-                });
+                self.journal.boundary.push((seg as u32, d as u32, old));
                 self.boundary[seg][d] = new;
                 self.set_dirty(d as u32, new);
             }
@@ -1853,6 +2015,7 @@ impl PlacementCost {
     fn build_ring_tables(&mut self) {
         let schedule = self.schedule.clone();
         let n = self.hosts.len();
+        let s_count = self.site_count;
         let mut tables: Vec<RingTable> = Vec::new();
         let mut keys: Vec<RingBytes> = Vec::new();
         for (seg, segment) in schedule.segments.iter().enumerate() {
@@ -1868,7 +2031,6 @@ impl PlacementCost {
                 // the table is a site×site matrix keyed by static topology
                 // data only — fully move-invariant, no journaling ever.
                 let b = *b;
-                let s_count = self.site_count;
                 let mut site = vec![0u64; s_count * s_count].into_boxed_slice();
                 for sa in 0..s_count {
                     let src = self.site_rep[sa][0];
@@ -1885,23 +2047,22 @@ impl PlacementCost {
                 let rep = self.site_rep[0][0];
                 let tsame = self.transfer(rep, rep, b).as_nanos();
                 keys.push(bytes.clone());
-                tables.push(RingTable::Uniform { tsame, site });
+                tables.push(RingTable::Uniform {
+                    tsame,
+                    site,
+                    rows: vec![0u64; n * s_count].into_boxed_slice(),
+                });
                 Some((tables.len() - 1) as u32)
             } else {
                 let mut tsame = vec![0u64; n].into_boxed_slice();
-                let mut tsite = vec![0u64; n * self.site_count].into_boxed_slice();
+                let mut tsite = vec![0u64; n * s_count].into_boxed_slice();
                 for src in 0..n {
                     // For PerSrc the byte count is destination-independent;
                     // the dst argument is arbitrary.
                     let b = bytes.get(n, src, 0);
                     let h = self.hosts[src];
                     tsame[src] = self.transfer(h, h, b).as_nanos();
-                    let row = &mut tsite[src * self.site_count..][..self.site_count];
-                    for (s, slot) in row.iter_mut().enumerate() {
-                        let rep = self.site_rep[s];
-                        let dst = if rep[0] != h { rep[0] } else { rep[1] };
-                        *slot = self.transfer(h, dst, b).as_nanos();
-                    }
+                    self.fill_site_row(&mut tsite[src * s_count..][..s_count], h, b);
                 }
                 keys.push(bytes.clone());
                 tables.push(RingTable::PerSrc { tsame, tsite });
@@ -1911,6 +2072,17 @@ impl PlacementCost {
         }
         self.ring_tables = tables;
         self.ring_table_keys = keys;
+    }
+
+    /// Fills `row[site]` with the transfer time of `bytes` from host `h` to
+    /// a distinct host at each site — one `tsite` row of a `PerSrc` table.
+    /// Costed with `NetworkModel::transfer_time` directly (the value the
+    /// memo would return) so that a move's row refresh hashes nothing.
+    fn fill_site_row(&self, row: &mut [u64], h: HostId, bytes: u64) {
+        for (rep, slot) in self.site_rep.iter().zip(row) {
+            let dst = if rep[0] != h { rep[0] } else { rep[1] };
+            *slot = self.network.transfer_time(h, dst, bytes).as_nanos();
+        }
     }
 
     /// Rewrites the `tsite` row of every moved rank whose site changed, in
@@ -1924,7 +2096,6 @@ impl PlacementCost {
         }
         let mut ops = 0usize;
         let mut tables = std::mem::take(&mut self.ring_tables);
-        let keys = std::mem::take(&mut self.ring_table_keys);
         let n = self.hosts.len();
         let s_count = self.site_count;
         for (&r, &old_h) in moved.iter().zip(old_hosts) {
@@ -1932,27 +2103,19 @@ impl PlacementCost {
             if self.host_site[old_h.0] == self.host_site[new_h.0] {
                 continue;
             }
-            for (ti, (table, key)) in tables.iter_mut().zip(&keys).enumerate() {
+            for (ti, (table, key)) in tables.iter_mut().zip(&self.ring_table_keys).enumerate() {
                 let RingTable::PerSrc { tsite, .. } = table else {
                     continue;
                 };
                 let b = key.get(n, r as usize, 0);
                 let row = &mut tsite[r as usize * s_count..][..s_count];
-                self.journal.push(UndoEntry::RingRow {
-                    table: ti as u32,
-                    rank: r,
-                    old: row.to_vec().into_boxed_slice(),
-                });
-                for (s, slot) in row.iter_mut().enumerate() {
-                    let rep = self.site_rep[s];
-                    let dst = if rep[0] != new_h { rep[0] } else { rep[1] };
-                    *slot = self.transfer(new_h, dst, b).as_nanos();
-                }
+                self.journal.rows.push((ti as u32, r));
+                self.journal.row_words.extend_from_slice(row);
+                self.fill_site_row(row, new_h, b);
                 ops += s_count;
             }
         }
         self.ring_tables = tables;
-        self.ring_table_keys = keys;
         ops
     }
 
@@ -1966,7 +2129,6 @@ impl PlacementCost {
             return;
         }
         let mut tables = std::mem::take(&mut self.ring_tables);
-        let keys = std::mem::take(&mut self.ring_table_keys);
         let n = self.hosts.len();
         let s_count = self.site_count;
         for r in 0..n {
@@ -1974,21 +2136,63 @@ impl PlacementCost {
             if self.host_site[old_h.0] == self.host_site[new_h.0] {
                 continue;
             }
-            for (table, key) in tables.iter_mut().zip(&keys) {
+            for (table, key) in tables.iter_mut().zip(&self.ring_table_keys) {
                 let RingTable::PerSrc { tsite, .. } = table else {
                     continue;
                 };
                 let b = key.get(n, r, 0);
-                let row = &mut tsite[r * s_count..][..s_count];
-                for (s, slot) in row.iter_mut().enumerate() {
-                    let rep = self.site_rep[s];
-                    let dst = if rep[0] != new_h { rep[0] } else { rep[1] };
-                    *slot = self.transfer(new_h, dst, b).as_nanos();
-                }
+                self.fill_site_row(&mut tsite[r * s_count..][..s_count], new_h, b);
             }
         }
         self.ring_tables = tables;
-        self.ring_table_keys = keys;
+    }
+
+    /// Brings the per-assignment ring set-up up to date: each rank's host
+    /// and site, the co-located pairs by ring step, and every `Uniform`
+    /// table's per-rank row expansion.  All of it depends on the host
+    /// assignment alone, so one move's ring segments — IS runs two per
+    /// iteration — share a single set-up; `apply`, `undo` and `rebuild`
+    /// (hence `rebase`) invalidate it.
+    fn ensure_ring_setup(&mut self) {
+        if self.ring_setup_valid {
+            return;
+        }
+        let n = self.hosts.len();
+        for (r, &h) in self.hosts.iter().enumerate() {
+            self.host_of[r] = h.0 as u32;
+            self.site_of[r] = self.host_site[h.0];
+        }
+        // Same-host (src, dst) pairs are rare — at most cores per host — so
+        // the hot loop costs every receive through the site row
+        // unconditionally and these pairs are patched afterwards, keyed by
+        // their ring-step distance.  Only table rings read them (the
+        // `PerPair` fallback compares hosts per receive).
+        self.colo.clear();
+        if !self.ring_tables.is_empty() {
+            for (src, &h) in self.hosts.iter().enumerate() {
+                for &d in &self.ranks_on_host[h.0] {
+                    if d as usize != src {
+                        let step = (d as usize + n - src) % n;
+                        self.colo.push((step as u32, d, src as u32));
+                    }
+                }
+            }
+            self.colo.sort_unstable();
+        }
+        // A `Uniform` table's per-src rows, expanded from `site_of` once
+        // per assignment (O(ranks·sites), dwarfed by the O(ranks²)
+        // recurrence) so the inner loops keep the sequential row iteration
+        // — a per-receive `site[ss·s + sd]` gather measured ~2× slower on
+        // the ring-dominated IS schedule.
+        let s_count = self.site_count;
+        for table in &mut self.ring_tables {
+            if let RingTable::Uniform { site, rows, .. } = table {
+                for (row, &s) in rows.chunks_exact_mut(s_count).zip(&self.site_of) {
+                    row.copy_from_slice(&site[s as usize * s_count..][..s_count]);
+                }
+            }
+        }
+        self.ring_setup_valid = true;
     }
 
     /// Runs one ring segment's full wavefront.  `wf_prev` holds the
@@ -1997,66 +2201,27 @@ impl PlacementCost {
     /// with `src = d − step (mod n)` — is exactly [`ModelComm`]'s ring rule
     /// (stamp all sends against pre-step clocks, then take each receive's
     /// max) rewritten over u64 nanoseconds, which is exact because
-    /// `SimTime` *is* a saturating u64 nanosecond counter.
+    /// `SimTime` *is* a saturating u64 nanosecond counter.  The set-up the
+    /// recurrence reads (sites, co-located pairs, `Uniform` row expansion)
+    /// is shared by every wavefront of one host assignment
+    /// ([`Self::ensure_ring_setup`]).
     fn ring_wavefront(&mut self, bytes: &RingBytes, table: Option<u32>) {
+        self.ensure_ring_setup();
         let n = self.hosts.len();
         let mut prev = std::mem::take(&mut self.wf_prev);
         let mut cur = std::mem::take(&mut self.wf_cur);
-        let mut host_of = std::mem::take(&mut self.host_of);
-        let mut site_of = std::mem::take(&mut self.site_of);
-        for (r, &h) in self.hosts.iter().enumerate() {
-            host_of[r] = h.0 as u32;
-            site_of[r] = self.host_site[h.0];
-        }
         let o = self.overhead.as_nanos();
         match table {
             Some(ti) => {
-                let mut urows = std::mem::take(&mut self.uniform_rows);
                 let t = &self.ring_tables[ti as usize];
                 let s_count = self.site_count;
-                // Same-host (src, dst) pairs are rare — at most cores per
-                // host — so the hot loop below costs every receive through
-                // the site row unconditionally and the loopback pairs are
-                // patched afterwards, keyed by their ring-step distance.
-                // Sorting by host finds the co-located runs.
-                let mut by_host: Vec<(u32, u32)> =
-                    (0..n as u32).map(|r| (host_of[r as usize], r)).collect();
-                by_host.sort_unstable();
-                let mut colo: Vec<(u32, u32, u32)> = Vec::new();
-                let mut i = 0;
-                while i < n {
-                    let mut j = i + 1;
-                    while j < n && by_host[j].0 == by_host[i].0 {
-                        j += 1;
-                    }
-                    for &(_, a) in &by_host[i..j] {
-                        for &(_, b) in &by_host[i..j] {
-                            if a != b {
-                                let step = (b as usize + n - a as usize) % n;
-                                colo.push((step as u32, b, a));
-                            }
-                        }
-                    }
-                    i = j;
-                }
-                colo.sort_unstable();
+                let site_of = &self.site_of;
+                let colo = &self.colo;
                 let mut pi = 0usize;
                 // Per-src site rows for the hot loop: a `PerSrc` table
-                // holds them directly; a `Uniform` table is expanded from
-                // `site_of` into scratch once per wavefront (O(ranks·sites),
-                // dwarfed by the O(ranks²) recurrence) so the inner loops
-                // keep the sequential row iteration — a per-receive
-                // `site[ss·s + sd]` gather here measured ~2× slower on the
-                // ring-dominated IS schedule.
+                // holds them directly, a `Uniform` table in its expansion.
                 let rows: &[u64] = match t {
-                    RingTable::Uniform { site, .. } => {
-                        urows.clear();
-                        urows.reserve(n * s_count);
-                        for &s in &site_of[..n] {
-                            urows.extend_from_slice(&site[s as usize * s_count..][..s_count]);
-                        }
-                        &urows
-                    }
+                    RingTable::Uniform { rows, .. } => rows,
                     RingTable::PerSrc { tsite, .. } => tsite,
                 };
                 // The wrap in `src = d − step (mod n)` splits each step into
@@ -2100,7 +2265,6 @@ impl PlacementCost {
                     }
                     std::mem::swap(&mut prev, &mut cur);
                 }
-                self.uniform_rows = urows;
             }
             None => {
                 // PerPair fallback: per-receive byte counts, costed through
@@ -2109,12 +2273,9 @@ impl PlacementCost {
                     for d in 0..n {
                         let src = if d >= step { d - step } else { d + n - step };
                         let b = bytes.get(n, src, d);
+                        let (hs, hd) = (self.host_of[src], self.host_of[d]);
                         let tt = self
-                            .transfer(
-                                HostId(host_of[src] as usize),
-                                HostId(host_of[d] as usize),
-                                b,
-                            )
+                            .transfer(HostId(hs as usize), HostId(hd as usize), b)
                             .as_nanos();
                         cur[d] = prev[d].max(prev[src].saturating_add(tt)).saturating_add(o);
                     }
@@ -2124,29 +2285,29 @@ impl PlacementCost {
         }
         self.wf_prev = prev;
         self.wf_cur = cur;
-        self.host_of = host_of;
-        self.site_of = site_of;
     }
 
     /// Bytes of ring-cache state the evaluator holds: the pooled transfer
-    /// tables plus the wavefront scratch rows — O(ranks · sites), versus
-    /// the O(steps · ranks²) per-(step, rank) clock rows of the previous
-    /// design (reported and bounded by `perf_report`'s `is_search` gate).
+    /// tables, the per-assignment set-up (each `Uniform` table's per-rank
+    /// row expansion, the per-rank host/site rows and the reserved
+    /// co-location list) and the wavefront scratch rows — O(ranks · sites),
+    /// versus the O(steps · ranks²) per-(step, rank) clock rows of the
+    /// previous design (reported and bounded by `perf_report`'s
+    /// `is_search` gate).
     pub fn ring_cache_bytes(&self) -> usize {
+        let word = std::mem::size_of::<u64>();
         let tables: usize = self
             .ring_tables
             .iter()
             .map(|t| match t {
-                RingTable::Uniform { site, .. } => (site.len() + 1) * std::mem::size_of::<u64>(),
-                RingTable::PerSrc { tsame, tsite } => {
-                    (tsame.len() + tsite.len()) * std::mem::size_of::<u64>()
-                }
+                RingTable::Uniform { site, rows, .. } => (site.len() + 1 + rows.len()) * word,
+                RingTable::PerSrc { tsame, tsite } => (tsame.len() + tsite.len()) * word,
             })
             .sum();
         tables
-            + (self.wf_prev.len() + self.wf_cur.len() + self.uniform_rows.len())
-                * std::mem::size_of::<u64>()
+            + (self.wf_prev.len() + self.wf_cur.len()) * word
             + (self.host_of.len() + self.site_of.len()) * std::mem::size_of::<u32>()
+            + self.colo.capacity() * std::mem::size_of::<(u32, u32, u32)>()
     }
 
     /// Byte accounting of the `Uniform` specialisation: `(tables,
@@ -2190,24 +2351,6 @@ fn remove_rank(list: &mut Vec<u32>, rank: u32) {
         .position(|&r| r == rank)
         .expect("rank resident list out of sync");
     list.swap_remove(i);
-}
-
-/// Pushes the next message of a rank after message `k` onto the worklist.
-#[inline]
-fn push_next(
-    worklist: &mut BinaryHeap<Reverse<u32>>,
-    queued_epoch: &mut [u32],
-    ep: u32,
-    by_rank: &[u32],
-    k: u32,
-) {
-    let pos = by_rank.partition_point(|&i| i <= k);
-    if let Some(&next) = by_rank.get(pos) {
-        if queued_epoch[next as usize] != ep {
-            queued_epoch[next as usize] = ep;
-            worklist.push(Reverse(next));
-        }
-    }
 }
 
 #[cfg(test)]

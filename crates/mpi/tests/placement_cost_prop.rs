@@ -122,6 +122,43 @@ fn ring_heavy_program<P: CollectiveProgram>(p: &mut P, program_seed: u64) {
     }
 }
 
+/// A tree-heavy program with at least three distinct tree byte counts
+/// spread over at least two `Msgs` segments (a compute phase splits them),
+/// one byte count reused across segments, a rank-dependent gather, and a
+/// genuinely per-pair ring — the shapes that exercise the dense
+/// `[byte class][link class]` transfer table and the `PerPair` fallback
+/// side by side.
+fn multi_class_tree_program<P: CollectiveProgram>(p: &mut P, program_seed: u64) {
+    let mut rng = seeded(program_seed);
+    let n = p.size();
+    let b1 = rng.gen_range(1u64..500);
+    let b2 = b1 + rng.gen_range(1u64..500);
+    let b3 = b2 + rng.gen_range(1u64..500);
+    p.bcast(rng.gen_range(0..n), b1);
+    p.reduce(rng.gen_range(0..n), b2);
+    p.compute(MemoryIntensity::MEMORY_BOUND, |r| 1e6 * (r % 3 + 1) as f64);
+    p.allreduce(b3);
+    p.gather(rng.gen_range(0..n), |r| (r as u64 % 4 + 1) * 16);
+    let stride = rng.gen_range(1u64..29);
+    p.alltoallv(move |src, dst| (src as u64 * 13 + dst as u64 * stride) % 97 * 8);
+    p.bcast(0, b1);
+}
+
+/// A random move: a swap or an (unfiltered, possibly infeasible) migrate.
+fn random_move(rng: &mut impl Rng, n: u32, host_count: usize) -> Move {
+    if rng.gen_range(0u32..2) == 0 {
+        Move::Swap {
+            a: rng.gen_range(0..n),
+            b: rng.gen_range(0..n),
+        }
+    } else {
+        Move::Migrate {
+            rank: rng.gen_range(0..n),
+            to: HostId(rng.gen_range(0..host_count)),
+        }
+    }
+}
+
 /// Assigns `n` ranks to random hosts without exceeding any host's core
 /// capacity (migrates need somewhere to go, so capacity-feasible starts
 /// matter).
@@ -373,6 +410,125 @@ proptest! {
                         mv
                     ),
                 }
+            }
+        }
+    }
+
+    /// The stale-scratch hazard of state cached per host assignment (the
+    /// ring set-up: sites, co-located pairs, `Uniform` row expansions):
+    /// apply a move, undo it, then apply a *different* move, on
+    /// ring-heavy schedules — and re-park the evaluator with `rehome` or
+    /// `rebase` between rounds, so the first move after a re-park runs on
+    /// set-up the re-park must have invalidated.  Every step is checked
+    /// against a fresh replay.
+    #[test]
+    fn ring_heavy_undo_then_other_move_and_rebase_equal_full_replay(
+        n in 8u32..21,
+        placement_seed in 0u64..1_000_000,
+        program_seed in 0u64..1_000_000,
+        move_seed in 0u64..1_000_000,
+    ) {
+        let topology = topology();
+        let mut b = ScheduleBuilder::new(n);
+        ring_heavy_program(&mut b, program_seed);
+        let schedule = Arc::new(b.finish());
+        let full: Vec<u32> = topology.hosts().iter().map(|h| h.cores as u32).collect();
+        let mut cost = PlacementCost::new(
+            schedule,
+            random_feasible_hosts(&topology, n, placement_seed),
+            full.clone(),
+            NetworkModel::new(topology.clone()),
+            ComputeModel::new(topology.clone()),
+        );
+        let mut rng = seeded(move_seed);
+        let host_count = topology.host_count();
+        for round in 0..4 {
+            for _ in 0..3 {
+                let first = random_move(&mut rng, n, host_count);
+                let before_cost = cost.cost();
+                let before_clocks = cost.clocks().to_vec();
+                if cost.apply(first).is_ok() {
+                    prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..],
+                        "diverged after {:?}", first);
+                    cost.undo();
+                    prop_assert_eq!(cost.cost(), before_cost);
+                    prop_assert_eq!(cost.clocks(), &before_clocks[..]);
+                }
+                let second = loop {
+                    let mv = random_move(&mut rng, n, host_count);
+                    if mv != first {
+                        break mv;
+                    }
+                };
+                if cost.apply(second).is_ok() {
+                    prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..],
+                        "diverged after undoing {:?} then applying {:?}", first, second);
+                    if rng.gen_range(0u32..2) == 0 {
+                        cost.undo();
+                        prop_assert_eq!(cost.clocks(), &before_clocks[..]);
+                    } else {
+                        cost.commit();
+                    }
+                }
+            }
+            // Re-park: alternately a rehome under the current capacities
+            // and a rebase under full ones, onto a fresh random placement.
+            let hosts = random_feasible_hosts(&topology, n, rng.gen());
+            if round % 2 == 0 {
+                cost.rehome(&hosts);
+            } else {
+                cost.rebase(&hosts, &full);
+            }
+            prop_assert_eq!(cost.hosts(), &hosts[..]);
+            prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+            let mv = random_move(&mut rng, n, host_count);
+            if cost.apply(mv).is_ok() {
+                prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..],
+                    "diverged on the first move {:?} after a re-park", mv);
+                cost.commit();
+            }
+        }
+    }
+
+    /// Several tree byte classes across several `Msgs` segments, next to a
+    /// per-pair ring: delta == replay after every move, undo and commit.
+    #[test]
+    fn multi_class_trees_and_per_pair_ring_equal_full_replay(
+        n in 2u32..17,
+        placement_seed in 0u64..1_000_000,
+        program_seed in 0u64..1_000_000,
+        move_seed in 0u64..1_000_000,
+    ) {
+        let topology = topology();
+        let mut b = ScheduleBuilder::new(n);
+        multi_class_tree_program(&mut b, program_seed);
+        let schedule = Arc::new(b.finish());
+        let capacity: Vec<u32> = topology.hosts().iter().map(|h| h.cores as u32).collect();
+        let mut cost = PlacementCost::new(
+            schedule,
+            random_feasible_hosts(&topology, n, placement_seed),
+            capacity,
+            NetworkModel::new(topology.clone()),
+            ComputeModel::new(topology.clone()),
+        );
+        prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+        let mut rng = seeded(move_seed);
+        let host_count = topology.host_count();
+        for _ in 0..12 {
+            let mv = random_move(&mut rng, n, host_count);
+            let before_clocks = cost.clocks().to_vec();
+            if cost.apply(mv).is_err() {
+                prop_assert_eq!(cost.clocks(), &before_clocks[..]);
+                continue;
+            }
+            prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..],
+                "multi-class delta diverged from the oracle after {:?}", mv);
+            if rng.gen_range(0u32..3) == 0 {
+                cost.undo();
+                prop_assert_eq!(cost.clocks(), &before_clocks[..]);
+                prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+            } else {
+                cost.commit();
             }
         }
     }
